@@ -49,10 +49,12 @@
 #                  all with -race and a goroutine-leak check
 #   make load    - a quick eccload sweep of the batch engine
 #   make serve-smoke - end-to-end check of the serving stack: boots
-#                  eccserve on a loopback port, drives it with
-#                  eccload's network mode, asserts non-zero throughput
-#                  with zero sheds/errors, then requires a clean
-#                  SIGTERM drain
+#                  eccserve with its defaults on a loopback port, drives
+#                  it with eccload's network mode (a mixed run and a
+#                  certificate run), asserts non-zero throughput with
+#                  zero sheds/errors and a clean SIGTERM drain, then
+#                  repeats under seeded fault injection (-fault-rate)
+#                  and requires every client failure to be accounted
 
 GO ?= go
 

@@ -5,7 +5,9 @@ package repro
 // independent requests from any number of goroutines and executes them
 // in batches, amortising the dominant field inversion (and, for
 // signing, the mod-n nonce inversion) across the whole batch with
-// Montgomery's trick; the slice helpers below run the same kernel
+// Montgomery's trick. A batch is whatever is queued when a worker
+// looks; no request waits on a timer for others to arrive, so a lone
+// request runs at once. The slice helpers below run the same kernel
 // synchronously for callers that already hold a batch. See the
 // README's "Concurrency and batching" section for the contract, and
 // cmd/eccload for a load generator that measures the effect.
@@ -13,7 +15,6 @@ package repro
 import (
 	"io"
 	"math/big"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -56,10 +57,12 @@ func clampOption(n, max int) int {
 
 // WithMaxBatch caps how many requests one worker drains into a single
 // batch. Bigger batches amortise the batched inversions further but
-// add head-of-line latency under light load. n <= 0 (and the default)
-// means 32, past which the inversion share of an op is already down
-// in the noise (see cmd/eccload); values beyond the engine's hard cap
-// (65536) saturate rather than overflowing queue sizing.
+// add head-of-line latency when many requests are queued; the cap
+// never makes a request wait for a batch to fill. n <= 0 (and the
+// default) means 32, past which the inversion share of an op is
+// already down in the noise (see cmd/eccload); values beyond the
+// engine's hard cap (65536) saturate rather than overflowing queue
+// sizing.
 func WithMaxBatch(n int) EngineOption {
 	return func(o *engineOptions) { o.cfg.MaxBatch = clampOption(n, engine.MaxBatchLimit) }
 }
@@ -76,24 +79,6 @@ func WithWorkers(n int) EngineOption {
 // hard cap (262144) saturate.
 func WithQueueDepth(n int) EngineOption {
 	return func(o *engineOptions) { o.cfg.Queue = clampOption(n, engine.QueueLimit) }
-}
-
-// WithBatchWindow bounds how long a worker holds a non-full batch
-// open waiting for more requests: a batch closes when it reaches the
-// MaxBatch cap OR when the window expires, whichever comes first. The
-// default (0) keeps the greedy-drain behaviour — whatever is already
-// queued runs immediately, so light load sees batch-of-one latency. A
-// serving front end that wants real batches at moderate arrival rates
-// sets a small window (hundreds of microseconds) and accepts that the
-// idle-load p99 is bounded by roughly the window instead of a single
-// op; see cmd/eccserve.
-func WithBatchWindow(d time.Duration) EngineOption {
-	return func(o *engineOptions) {
-		if d < 0 {
-			d = 0
-		}
-		o.cfg.BatchWindow = d
-	}
 }
 
 // WithBatchObserver registers f to observe every processed batch with

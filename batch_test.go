@@ -7,10 +7,10 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestPublicBatchAPI exercises the repro-level batch surface against
@@ -173,7 +173,6 @@ func TestBatchEngineOptionClamps(t *testing.T) {
 		WithMaxBatch(math.MaxInt),
 		WithWorkers(2),
 		WithQueueDepth(math.MaxInt),
-		WithBatchWindow(-time.Second),
 		WithWarmTables(false),
 	)
 	defer e.Close()
@@ -182,35 +181,45 @@ func TestBatchEngineOptionClamps(t *testing.T) {
 	}
 }
 
-// TestBatchEngineWindowObserver drives an engine configured with a
-// batch window and an observer through the public options and checks
-// requests coalesce.
-func TestBatchEngineWindowObserver(t *testing.T) {
+// TestBatchEngineObserverFormsBatches drives one worker through the
+// public options with an observer attached: concurrent submitters must
+// coalesce into batches with no timer configured, and the observer
+// must see every op exactly once. It runs on one P, where a worker
+// that did not yield would close every batch at size one.
+func TestBatchEngineObserverFormsBatches(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	priv, err := GenerateKey(rand.New(rand.NewSource(81)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var batches, ops atomic.Int64
 	e := NewBatchEngine(
-		WithMaxBatch(8),
 		WithWorkers(1),
-		WithBatchWindow(50*time.Millisecond),
 		WithBatchObserver(func(n int) { batches.Add(1); ops.Add(int64(n)) }),
 		WithWarmTables(false),
 	)
 	defer e.Close()
-	const G = 6
+	const G, N = 32, 10
+	d := sha256.Sum256([]byte("observer"))
 	var wg sync.WaitGroup
-	for i := 0; i < G; i++ {
+	for g := 0; g < G; g++ {
 		wg.Add(1)
-		go func(i int) {
+		go func(g int) {
 			defer wg.Done()
-			if _, err := e.ScalarMult(big.NewInt(int64(i+2)), Generator()); err != nil {
-				t.Error(err)
+			rnd := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < N; i++ {
+				if _, err := e.Sign(priv, d[:], rnd); err != nil {
+					t.Error(err)
+					return
+				}
 			}
-		}(i)
+		}(g)
 	}
 	wg.Wait()
-	if got := ops.Load(); got != G {
-		t.Fatalf("observer saw %d ops, want %d", got, G)
+	if got := ops.Load(); got != G*N {
+		t.Fatalf("observer saw %d ops, want %d", got, G*N)
 	}
-	if got := batches.Load(); got >= G {
-		t.Fatalf("window formed no batches: %d batches for %d ops", got, G)
+	if got := batches.Load(); got >= G*N/4 {
+		t.Fatalf("no batches formed: %d batches for %d ops", got, G*N)
 	}
 }

@@ -85,11 +85,13 @@ func (r result) String() string {
 }
 
 // run drives g goroutines calling op until the deadline and merges
-// their latency records. stride is how many operations one op call
-// completes (1 for the one-shot paths, the batch size for the direct
-// slice kernels); each completed operation is recorded with its
-// call's latency.
-func run(g int, dur time.Duration, stride int, op func(worker, i int)) result {
+// their latency records. op reports whether its call was answered;
+// only answered calls are counted and sampled, so a shed or failed
+// request never lands in the percentiles. stride is how many
+// operations one op call completes (1 for the one-shot paths, the
+// batch size for the direct slice kernels); each completed operation
+// is recorded with its call's latency.
+func run(g int, dur time.Duration, stride int, op func(worker, i int) bool) result {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -107,7 +109,9 @@ func run(g int, dur time.Duration, stride int, op func(worker, i int)) result {
 				if t0.After(deadline) {
 					break
 				}
-				op(w, i)
+				if !op(w, i) {
+					continue
+				}
 				lat := time.Since(t0)
 				for s := 0; s < stride; s++ {
 					rec = append(rec, lat)
@@ -131,6 +135,15 @@ func run(g int, dur time.Duration, stride int, op func(worker, i int)) result {
 		res.allocs = float64(after.Mallocs-before.Mallocs) / float64(len(all))
 	}
 	return res
+}
+
+// always adapts an in-process loop body, which panics on any failure,
+// to run's answered-call contract.
+func always(op func(int, int)) func(int, int) bool {
+	return func(w, i int) bool {
+		op(w, i)
+		return true
+	}
 }
 
 func main() {
@@ -210,7 +223,7 @@ func main() {
 	for _, g := range gs {
 		var naive result
 		if *naiveFlag {
-			naive = run(g, *durFlag, 1, naiveOp(*opFlag, priv, peers, scalars, digests, sigs, g))
+			naive = run(g, *durFlag, 1, always(naiveOp(*opFlag, priv, peers, scalars, digests, sigs, g)))
 			fmt.Printf("g=%-3d naive      : %s\n", g, naive)
 		}
 		report := func(label string, res result) {
@@ -231,14 +244,14 @@ func main() {
 				repro.WithWarmTables(false),
 			)
 			report(fmt.Sprintf("batch=%d", b),
-				run(g, *durFlag, 1, engineOp(*opFlag, e, rpriv, peers, scalars, digests, sigs, g)))
+				run(g, *durFlag, 1, always(engineOp(*opFlag, e, rpriv, peers, scalars, digests, sigs, g))))
 			e.Close()
 			// Direct mode: each goroutine hands the slice kernel a full
 			// batch (the shape of a server that already aggregates
 			// requests); no channel hop, pure amortisation.
 			if b > 1 {
 				report(fmt.Sprintf("direct=%d", b),
-					run(g, *durFlag, b, directOp(*opFlag, b, priv, verifyTab, peers, scalars, digests, sigs, g)))
+					run(g, *durFlag, b, always(directOp(*opFlag, b, priv, verifyTab, peers, scalars, digests, sigs, g))))
 			}
 		}
 	}

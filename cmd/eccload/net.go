@@ -1,7 +1,7 @@
 // Network client mode: -addr points eccload at a running eccserve and
 // the sweep drives the wire protocol instead of in-process engines,
 // measuring end-to-end ops/s and latency percentiles — protocol
-// framing, server batching window and all.
+// framing, server batching and all.
 package main
 
 import (
@@ -217,83 +217,82 @@ func (r *rconn) close() {
 	}
 }
 
+// answered classifies one roundtrip: a transport failure or an
+// unexpected response type counts as an error, a TOverload as a shed.
+// It reports whether f is a TOK answer for the caller to check.
+func (c *netCounters) answered(op string, w int, f frame.Frame, err error) bool {
+	switch {
+	case err != nil:
+		c.fail(op, w, "%v", err)
+	case f.Type == frame.TOK:
+		return true
+	case f.Type == frame.TOverload:
+		c.shed.Add(1)
+	default:
+		c.fail(op, w, "response type %#x", f.Type)
+	}
+	return false
+}
+
 // netOp returns the per-goroutine loop body for one wire operation.
 // Each worker owns one connection (the synchronous one-in-flight
 // client shape); responses are structurally checked on every op and
-// cryptographically spot-checked on a sample.
-func netOp(op string, rcs []*rconn, fx *netFixtures, c *netCounters) func(int, int) {
-	ping := func(w, i int) {
-		f, err := rcs[w].roundtrip(uint64(i+1), frame.TPing)
-		if err != nil {
-			c.fail("ping", w, "%v", err)
-			return
+// cryptographically spot-checked on a sample. The body reports
+// whether the server answered correctly.
+func netOp(op string, rcs []*rconn, fx *netFixtures, c *netCounters) func(int, int) bool {
+	// verdict checks the answer to a verify-style request over a valid
+	// signature: it must be TOK carrying the byte 1.
+	verdict := func(op string, w int, f frame.Frame, err error, what string) bool {
+		if !c.answered(op, w, f, err) {
+			return false
 		}
-		if f.Type != frame.TOK || len(f.Payload) != frame.KeySize {
-			c.fail("ping", w, "response type %#x len %d", f.Type, len(f.Payload))
+		if !bytes.Equal(f.Payload, []byte{1}) {
+			c.fail(op, w, "server rejected a valid %s", what)
+			return false
 		}
+		return true
 	}
-	sign := func(w, i int) {
+	ping := func(w, i int) bool {
+		f, err := rcs[w].roundtrip(uint64(i+1), frame.TPing)
+		if !c.answered("ping", w, f, err) {
+			return false
+		}
+		if len(f.Payload) != frame.KeySize {
+			c.fail("ping", w, "%d-byte key", len(f.Payload))
+			return false
+		}
+		return true
+	}
+	sign := func(w, i int) bool {
 		d := fx.digests[(w+i)%len(fx.digests)]
 		f, err := rcs[w].roundtrip(uint64(i+1), frame.TSign, d)
-		if err != nil {
-			c.fail("sign", w, "%v", err)
-			return
+		if !c.answered("sign", w, f, err) {
+			return false
 		}
-		switch f.Type {
-		case frame.TOK:
-			if len(f.Payload) != frame.SigSize {
-				c.fail("sign", w, "%d-byte signature", len(f.Payload))
-				return
-			}
-			if i%64 == 0 {
-				sig, err := repro.ParseSignature(f.Payload)
-				if err != nil || !fx.serverPub.Verify(d, sig) {
-					c.fail("sign", w, "server signature failed local verification (%v)", err)
-				}
-			}
-		case frame.TOverload:
-			c.shed.Add(1)
-		default:
-			c.fail("sign", w, "response type %#x", f.Type)
+		if len(f.Payload) != frame.SigSize {
+			c.fail("sign", w, "%d-byte signature", len(f.Payload))
+			return false
 		}
+		if i%64 == 0 {
+			sig, err := repro.ParseSignature(f.Payload)
+			if err != nil || !fx.serverPub.Verify(d, sig) {
+				c.fail("sign", w, "server signature failed local verification (%v)", err)
+				return false
+			}
+		}
+		return true
 	}
-	verify := func(w, i int) {
+	verify := func(w, i int) bool {
 		idx := (w + i) % len(fx.digests)
 		req := frame.AppendVerify(nil, fx.keys[idx%netKeyPool], fx.sigs[idx], fx.digests[idx])
 		f, err := rcs[w].roundtrip(uint64(i+1), frame.TVerify, req)
-		if err != nil {
-			c.fail("verify", w, "%v", err)
-			return
-		}
-		switch f.Type {
-		case frame.TOK:
-			if !bytes.Equal(f.Payload, []byte{1}) {
-				c.fail("verify", w, "server rejected a valid signature")
-			}
-		case frame.TOverload:
-			c.shed.Add(1)
-		default:
-			c.fail("verify", w, "response type %#x", f.Type)
-		}
+		return verdict("verify", w, f, err, "signature")
 	}
-	verifyr := func(w, i int) {
+	verifyr := func(w, i int) bool {
 		idx := (w + i) % len(fx.digests)
 		req := frame.AppendVerifyR(nil, fx.hints[idx], fx.keys[idx%netKeyPool], fx.sigs[idx], fx.digests[idx])
 		f, err := rcs[w].roundtrip(uint64(i+1), frame.TVerifyR, req)
-		if err != nil {
-			c.fail("verifyr", w, "%v", err)
-			return
-		}
-		switch f.Type {
-		case frame.TOK:
-			if !bytes.Equal(f.Payload, []byte{1}) {
-				c.fail("verifyr", w, "server rejected a valid hinted signature")
-			}
-		case frame.TOverload:
-			c.shed.Add(1)
-		default:
-			c.fail("verifyr", w, "response type %#x", f.Type)
-		}
+		return verdict("verifyr", w, f, err, "hinted signature")
 	}
 	// enroll performs the one-time TEnroll handshake for worker w: send
 	// a fresh certificate request, reconstruct the private key from the
@@ -308,17 +307,7 @@ func netOp(op string, rcs []*rconn, fx *netFixtures, c *netCounters) func(int, i
 			return nil
 		}
 		f, err := rcs[w].roundtrip(uint64(i+1), frame.TEnroll, frame.AppendEnroll(nil, req.Bytes(), identity))
-		if err != nil {
-			c.fail("enroll", w, "%v", err)
-			return nil
-		}
-		switch f.Type {
-		case frame.TOK:
-		case frame.TOverload:
-			c.shed.Add(1)
-			return nil
-		default:
-			c.fail("enroll", w, "response type %#x", f.Type)
+		if !c.answered("enroll", w, f, err) {
 			return nil
 		}
 		if len(f.Payload) != frame.CertSize+frame.ContribSize {
@@ -353,49 +342,30 @@ func netOp(op string, rcs []*rconn, fx *netFixtures, c *netCounters) func(int, i
 		}
 		return st
 	}
-	cert := func(w, i int) {
+	cert := func(w, i int) bool {
 		st := fx.certs[w]
 		if st == nil {
 			if st = enroll(w, i); st == nil {
-				return
+				return false
 			}
 			fx.certs[w] = st
 		}
 		idx := (w + i) % len(fx.digests)
 		req := frame.AppendCertVerify(nil, st.cert, st.identity, st.sigs[idx], fx.digests[idx])
 		f, err := rcs[w].roundtrip(uint64(i+1), frame.TCertVerify, req)
-		if err != nil {
-			c.fail("certverify", w, "%v", err)
-			return
-		}
-		switch f.Type {
-		case frame.TOK:
-			if !bytes.Equal(f.Payload, []byte{1}) {
-				c.fail("certverify", w, "server rejected a valid certified signature")
-			}
-		case frame.TOverload:
-			c.shed.Add(1)
-		default:
-			c.fail("certverify", w, "response type %#x", f.Type)
-		}
+		return verdict("certverify", w, f, err, "certified signature")
 	}
-	ecdh := func(w, i int) {
+	ecdh := func(w, i int) bool {
 		k := (w + i) % netKeyPool
 		f, err := rcs[w].roundtrip(uint64(i+1), frame.TECDH, fx.keys[k])
-		if err != nil {
-			c.fail("ecdh", w, "%v", err)
-			return
+		if !c.answered("ecdh", w, f, err) {
+			return false
 		}
-		switch f.Type {
-		case frame.TOK:
-			if !bytes.Equal(f.Payload, fx.secrets[k]) {
-				c.fail("ecdh", w, "secret mismatch")
-			}
-		case frame.TOverload:
-			c.shed.Add(1)
-		default:
-			c.fail("ecdh", w, "response type %#x", f.Type)
+		if !bytes.Equal(f.Payload, fx.secrets[k]) {
+			c.fail("ecdh", w, "secret mismatch")
+			return false
 		}
+		return true
 	}
 	switch op {
 	case "ping":
@@ -411,18 +381,18 @@ func netOp(op string, rcs []*rconn, fx *netFixtures, c *netCounters) func(int, i
 	case "cert":
 		return cert
 	case "mixed":
-		return func(w, i int) {
+		return func(w, i int) bool {
 			switch i % 5 {
 			case 0:
-				sign(w, i)
+				return sign(w, i)
 			case 1:
-				verify(w, i)
+				return verify(w, i)
 			case 2:
-				verifyr(w, i)
+				return verifyr(w, i)
 			case 3:
-				cert(w, i)
+				return cert(w, i)
 			default:
-				ecdh(w, i)
+				return ecdh(w, i)
 			}
 		}
 	default:

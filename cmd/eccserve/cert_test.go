@@ -53,7 +53,7 @@ func enrollOnce(t *testing.T, fc *frame.Conn, serverPub *repro.PublicKey, identi
 // over the loopback wire: enroll, verify under the certificate, and
 // confirm the enrollment pre-warmed both cache namespaces.
 func TestServeEnrollCertVerify(t *testing.T) {
-	s, addr := startTestServer(t, serverConfig{Window: 100 * time.Microsecond})
+	s, addr := startTestServer(t, serverConfig{})
 	fc := dialFrame(t, addr)
 
 	f, err := fc.Roundtrip(1, frame.TPing)
@@ -164,7 +164,7 @@ func TestServeEnrollCertVerify(t *testing.T) {
 // singleflight must collapse them into exactly one extraction+table
 // build.
 func TestServeCertVerifySingleflight(t *testing.T) {
-	s, addr := startTestServer(t, serverConfig{Window: 100 * time.Microsecond})
+	s, addr := startTestServer(t, serverConfig{})
 
 	// Issue a certificate directly against the server's CA so the
 	// server cache has never seen it (no enrollment pre-warm).
@@ -242,7 +242,7 @@ func (e *badFrameError) Error() string {
 // cleanly (TDraining / connection close), and the drain must
 // terminate.
 func TestServeDrainDuringEnroll(t *testing.T) {
-	s, addr := startTestServer(t, serverConfig{Window: 100 * time.Microsecond})
+	s, addr := startTestServer(t, serverConfig{})
 	fc := dialFrame(t, addr)
 
 	f, err := fc.Roundtrip(1, frame.TPing)

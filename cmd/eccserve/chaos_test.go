@@ -109,7 +109,7 @@ func TestChaosMixedTrafficFaultShapes(t *testing.T) {
 		return nil // conns 6-9: clean
 	}
 	s, addr, ctr := startChaosServer(t, serverConfig{
-		Shards: 2, Window: 100 * time.Microsecond,
+		Shards:   2,
 		ReadIdle: readIdle, WriteTimeout: writeTimeout, DrainTimeout: drainTimeout,
 	}, plans, nil)
 

@@ -7,10 +7,11 @@
 //
 // Operational behaviour:
 //
-//   - Adaptive batching: a batch closes when it reaches -batch
-//     requests or when the -window deadline expires, whichever is
-//     first, so p99 stays bounded at low load while throughput climbs
-//     at high load.
+//   - Batching without a timer: each shard's worker takes whatever
+//     requests are queued (up to -batch), yielding the processor while
+//     that brings in more, so the requests of one connection read
+//     share a batch. A lone request never waits for others, and under
+//     pipelined load the batches still fill.
 //   - Load shedding: at most -maxinflight requests run at once;
 //     beyond that clients get an explicit TOverload frame instead of
 //     unbounded queueing.
@@ -60,7 +61,6 @@ func main() {
 		metrics  = flag.String("metrics", "", "listen address for /metrics, /debug/vars and /debug/pprof (empty = disabled)")
 		shards   = flag.Int("shards", 0, "engine shards (0 = GOMAXPROCS)")
 		batch    = flag.Int("batch", 32, "max requests per engine batch")
-		window   = flag.Duration("window", 200*time.Microsecond, "batch window: a partial batch closes after this deadline")
 		maxInfl  = flag.Int("maxinflight", 0, "max concurrent requests before shedding (0 = 4*shards*batch)")
 		cacheCap = flag.Int("keycache", 1024, "resident precomputed verification keys")
 		keyFile  = flag.String("key", "", "hex-encoded private key file (empty = ephemeral key)")
@@ -83,7 +83,6 @@ func main() {
 	s := newServer(priv, serverConfig{
 		Shards:       *shards,
 		MaxBatch:     *batch,
-		Window:       *window,
 		MaxInflight:  *maxInfl,
 		MaxConns:     *maxConns,
 		KeyCacheCap:  *cacheCap,
@@ -107,8 +106,8 @@ func main() {
 			log.Fatalf("eccserve: addr-file: %v", err)
 		}
 	}
-	log.Printf("eccserve: listening on %s (%d shards, batch %d, window %v)",
-		ln.Addr(), s.cfg.Shards, s.cfg.MaxBatch, s.cfg.Window)
+	log.Printf("eccserve: listening on %s (%d shards, batch %d)",
+		ln.Addr(), s.cfg.Shards, s.cfg.MaxBatch)
 	if *cTime {
 		log.Printf("eccserve: hardened mode: signing and ECDH on the constant-time evaluators")
 	}

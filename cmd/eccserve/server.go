@@ -21,7 +21,6 @@ import (
 type serverConfig struct {
 	Shards       int           // engine shards; 0 = GOMAXPROCS
 	MaxBatch     int           // per-shard batch ceiling
-	Window       time.Duration // adaptive batch window (0 = greedy only)
 	MaxInflight  int           // concurrent requests before shedding
 	MaxConns     int           // accepted-connection cap; 0 = unlimited
 	KeyCacheCap  int           // resident Precompute tables
@@ -38,9 +37,6 @@ func (c *serverConfig) fill() {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.Window < 0 {
-		c.Window = 0
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 4 * c.Shards * c.MaxBatch
@@ -122,7 +118,6 @@ func newServer(priv *repro.PrivateKey, cfg serverConfig) *server {
 		opts := []repro.EngineOption{
 			repro.WithWorkers(1),
 			repro.WithMaxBatch(cfg.MaxBatch),
-			repro.WithBatchWindow(cfg.Window),
 			repro.WithBatchObserver(m.observeBatch),
 			repro.WithWarmTables(false),
 		}

@@ -52,7 +52,7 @@ func dialFrame(t *testing.T, addr string) *frame.Conn {
 }
 
 func TestServeSignVerifyECDH(t *testing.T) {
-	s, addr := startTestServer(t, serverConfig{Window: 100 * time.Microsecond})
+	s, addr := startTestServer(t, serverConfig{})
 	fc := dialFrame(t, addr)
 
 	// Ping doubles as the identity probe.
@@ -136,7 +136,7 @@ func TestServeSignVerifyECDH(t *testing.T) {
 // signature answers 0, and a structurally broken payload is a protocol
 // error.
 func TestServeVerifyRecoverable(t *testing.T) {
-	s, addr := startTestServer(t, serverConfig{Window: 100 * time.Microsecond})
+	s, addr := startTestServer(t, serverConfig{})
 	fc := dialFrame(t, addr)
 
 	rnd := rand.New(rand.NewSource(17))
@@ -221,7 +221,7 @@ func TestServeBadRequests(t *testing.T) {
 // operations from many connections and checks every response is
 // well-formed and the verify answers are right.
 func TestServeMixedTrafficConcurrent(t *testing.T) {
-	s, addr := startTestServer(t, serverConfig{Window: 200 * time.Microsecond, Shards: 2})
+	s, addr := startTestServer(t, serverConfig{Shards: 2})
 
 	const conns = 8
 	const opsPerConn = 40
@@ -385,7 +385,7 @@ func TestServePermanentAcceptErrorShutsDown(t *testing.T) {
 // complete, later frames get TDraining (or the connection closes), and
 // the drain terminates without panic or deadlock.
 func TestGracefulDrain(t *testing.T) {
-	s, addr := startTestServer(t, serverConfig{Window: 100 * time.Microsecond})
+	s, addr := startTestServer(t, serverConfig{})
 	fc := dialFrame(t, addr)
 	digest := sha256.Sum256([]byte("drain"))
 
@@ -667,7 +667,7 @@ func httpGet(t *testing.T, url string) string {
 // the server drains, asserting no response is ever a TInternal (the
 // ErrEngineClosed → TDraining mapping) and nothing deadlocks.
 func TestSubmitRacesDrain(t *testing.T) {
-	s, addr := startTestServer(t, serverConfig{Window: 50 * time.Microsecond, Shards: 2})
+	s, addr := startTestServer(t, serverConfig{Shards: 2})
 	digest := sha256.Sum256([]byte("race"))
 
 	var wg sync.WaitGroup

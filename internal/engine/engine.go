@@ -28,7 +28,6 @@ import (
 	"math/big"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/ec"
@@ -64,7 +63,9 @@ const (
 	QueueLimit = 1 << 18
 )
 
-// Config sizes an Engine.
+// Config sizes an Engine. There is no batch timer: a batch is whatever
+// is queued when a worker looks, after yielding so that already
+// runnable submitters can join (see worker).
 type Config struct {
 	// MaxBatch caps how many requests one worker drains into a single
 	// batch. Bigger batches amortise the two batched inversions
@@ -80,16 +81,6 @@ type Config struct {
 	// Queue is the request channel depth. Defaults to
 	// 2 · MaxBatch · Workers; clamped to [1, QueueLimit].
 	Queue int
-	// BatchWindow bounds how long a worker holds a non-full batch open
-	// waiting for more requests: a batch closes when it reaches
-	// MaxBatch OR when the window expires, whichever comes first. Zero
-	// (the default) keeps the original greedy-drain behaviour — take
-	// whatever is already queued and run immediately, so light load
-	// sees batch-of-one latency. A serving front end that wants real
-	// batches at moderate arrival rates sets a small window (hundreds
-	// of microseconds) and accepts that p99 at idle is bounded by
-	// roughly the window rather than a single op.
-	BatchWindow time.Duration
 	// OnBatch, when non-nil, observes every processed batch with its
 	// size, after the kernel ran and before submitters unblock. It is
 	// called from worker goroutines concurrently and must be fast and
@@ -130,9 +121,6 @@ func (c *Config) fill() {
 	}
 	if c.Queue > QueueLimit {
 		c.Queue = QueueLimit
-	}
-	if c.BatchWindow < 0 {
-		c.BatchWindow = 0
 	}
 }
 
@@ -193,55 +181,30 @@ func (e *Engine) Close() {
 }
 
 // worker drains the request channel into batches: block for the first
-// request, then greedily take whatever else is already queued (up to
-// MaxBatch) without waiting. When a BatchWindow is configured and the
-// greedy drain left the batch short of MaxBatch, the worker keeps the
-// batch open for up to the window so batches can form at moderate
-// arrival rates; the batch closes on size or deadline, whichever
-// comes first.
+// request, then take whatever else is already queued (up to MaxBatch)
+// without waiting on any timer. A short batch yields the processor
+// before closing: submitters that the same event made runnable (one
+// connection read, one wave of woken callers) get to reach the
+// channel, and the worker drains again, repeating for as long as a
+// yield brings in at least one more request. When nothing else is
+// runnable the yield returns at once, so a lone request pays no wait.
 func (e *Engine) worker() {
 	defer e.wg.Done()
 	s := newBatchScratch()
 	batch := make([]*request, 0, e.cfg.MaxBatch)
-	var timer *time.Timer
 	for {
 		r, ok := <-e.reqs
 		if !ok {
 			return
 		}
-		batch = append(batch[:0], r)
-		open := true
-	greedy:
-		for len(batch) < e.cfg.MaxBatch {
-			select {
-			case r, ok := <-e.reqs:
-				if !ok {
-					open = false
-					break greedy
-				}
-				batch = append(batch, r)
-			default:
-				break greedy
+		var open bool
+		batch, open = e.drain(append(batch[:0], r))
+		for open && len(batch) < e.cfg.MaxBatch {
+			n := len(batch)
+			runtime.Gosched()
+			if batch, open = e.drain(batch); len(batch) == n {
+				break
 			}
-		}
-		if open && e.cfg.BatchWindow > 0 && len(batch) < e.cfg.MaxBatch {
-			// Deadline-bounded collect: the window opens when the batch
-			// does, so a submitter waits at most ~BatchWindow beyond its
-			// own processing time.
-			timer = resetWindowTimer(timer, e.cfg.BatchWindow)
-		window:
-			for len(batch) < e.cfg.MaxBatch {
-				select {
-				case r, ok := <-e.reqs:
-					if !ok {
-						break window
-					}
-					batch = append(batch, r)
-				case <-timer.C:
-					break window
-				}
-			}
-			timer.Stop()
 		}
 		s = e.runBatch(s, batch)
 		if e.cfg.OnBatch != nil {
@@ -253,27 +216,21 @@ func (e *Engine) worker() {
 	}
 }
 
-// resetWindowTimer arms the batch-window timer, creating it on first
-// use. A previous window can leave a stale tick buffered in timer.C:
-// when the batch fills (or the channel closes) in the same instant the
-// timer fires, the window loop exits without reading the channel and
-// the worker's Stop comes too late to prevent the send. A bare Reset
-// on top of that tick would close the NEXT window immediately — the
-// lone request of a quiet period would stop seeing the configured
-// window and batches would quietly degrade to size one — so the stale
-// tick is drained first.
-func resetWindowTimer(timer *time.Timer, d time.Duration) *time.Timer {
-	if timer == nil {
-		return time.NewTimer(d)
-	}
-	if !timer.Stop() {
+// drain appends whatever is already queued to batch, up to MaxBatch,
+// without blocking. It reports false once the channel is closed.
+func (e *Engine) drain(batch []*request) ([]*request, bool) {
+	for len(batch) < e.cfg.MaxBatch {
 		select {
-		case <-timer.C:
+		case r, ok := <-e.reqs:
+			if !ok {
+				return batch, false
+			}
+			batch = append(batch, r)
 		default:
+			return batch, true
 		}
 	}
-	timer.Reset(d)
-	return timer
+	return batch, true
 }
 
 // runBatch executes one batch through processBatch, containing any

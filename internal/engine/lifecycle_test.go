@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -155,7 +156,7 @@ func TestConfigFillClamp(t *testing.T) {
 			Config{MaxBatch: MaxBatchLimit, Workers: WorkersLimit, Queue: QueueLimit}},
 		{Config{MaxBatch: math.MaxInt / 2, Workers: 4},
 			Config{MaxBatch: MaxBatchLimit, Workers: 4, Queue: QueueLimit}},
-		{Config{MaxBatch: -5, Workers: -5, Queue: -5, BatchWindow: -time.Second},
+		{Config{MaxBatch: -5, Workers: -5, Queue: -5},
 			Config{MaxBatch: DefaultMaxBatch, Workers: 0, Queue: 0}},
 		{Config{MaxBatch: 16, Workers: 2},
 			Config{MaxBatch: 16, Workers: 2, Queue: 64}},
@@ -177,9 +178,6 @@ func TestConfigFillClamp(t *testing.T) {
 		if c.in.Queue <= 0 || c.in.Queue > QueueLimit {
 			t.Fatalf("case %d: Queue = %d out of range", i, c.in.Queue)
 		}
-		if c.in.BatchWindow < 0 {
-			t.Fatalf("case %d: BatchWindow = %v negative", i, c.in.BatchWindow)
-		}
 	}
 
 	// End to end: an engine constructed from hostile knobs must come up
@@ -194,59 +192,45 @@ func TestConfigFillClamp(t *testing.T) {
 	}
 }
 
-// TestBatchWindowFormsBatches checks the deadline-close behaviour: with
-// a window configured and a single worker, submissions arriving while
-// the window is open coalesce into one batch (observed through
-// OnBatch), and a lone request still completes within a bounded wait
-// rather than hanging for a full batch.
-func TestBatchWindowFormsBatches(t *testing.T) {
+// TestYieldFormsBatches checks that batches form without a timer: 64
+// goroutines signing in a loop against one worker must share batches.
+// It pins one P, where only the worker's yield lets the other
+// submitters reach the channel before it closes a batch (without the
+// yield every batch is size one). On two Ps the submitters also run
+// beside the worker, and the batch size then follows OS scheduling:
+// under a CPU hog it dipped to 6 in 1 of 200 runs, so that case is
+// left to the serving benchmark.
+func TestYieldFormsBatches(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	priv := testKey(t, 31)
+	digest := sha256.Sum256([]byte("yield"))
 	var batches, ops atomic.Int64
-	e := New(Config{
-		MaxBatch:    8,
-		Workers:     1,
-		BatchWindow: 50 * time.Millisecond,
-		SkipWarm:    true,
-		OnBatch: func(n int) {
-			batches.Add(1)
-			ops.Add(int64(n))
-		},
-	})
+	e := New(Config{Workers: 1, SkipWarm: true, OnBatch: func(n int) {
+		batches.Add(1)
+		ops.Add(int64(n))
+	}})
 	defer e.Close()
-	g := ec.Gen()
-
-	// A lone request: must complete (deadline close), not wait for a
-	// full batch that will never form.
-	start := time.Now()
-	if _, err := e.ScalarMult(big.NewInt(3), g); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("lone request took %v", elapsed)
-	}
-
-	// Several concurrent submitters within one window: fewer batches
-	// than ops means coalescing happened.
-	const G = 6
+	const G, N = 64, 30
 	var wg sync.WaitGroup
-	before := batches.Load()
-	opsBefore := ops.Load()
-	for i := 0; i < G; i++ {
+	for g := 0; g < G; g++ {
 		wg.Add(1)
-		go func(i int) {
+		go func(g int) {
 			defer wg.Done()
-			if _, err := e.ScalarMult(big.NewInt(int64(i+2)), g); err != nil {
-				t.Error(err)
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < N; i++ {
+				if _, err := e.Sign(priv, digest[:], rng); err != nil {
+					t.Error(err)
+					return
+				}
 			}
-		}(i)
+		}(g)
 	}
 	wg.Wait()
-	gotBatches := batches.Load() - before
-	gotOps := ops.Load() - opsBefore
-	if gotOps != G {
-		t.Fatalf("OnBatch observed %d ops, want %d", gotOps, G)
+	if got := ops.Load(); got != G*N {
+		t.Fatalf("OnBatch observed %d ops, want %d", got, G*N)
 	}
-	if gotBatches >= G {
-		t.Fatalf("window formed no batches: %d batches for %d ops", gotBatches, gotOps)
+	if mean := float64(ops.Load()) / float64(batches.Load()); mean < 8 {
+		t.Fatalf("mean batch %.2f over %d batches, want >= 8", mean, batches.Load())
 	}
 }
 
